@@ -684,14 +684,17 @@ impl Executor {
     /// with [`RunPlan::with_shared_warmup`]`(false)`, every run builds a
     /// fresh machine and perturbs from cycle zero (the legacy path, whose
     /// seeds and digests are unchanged). Parallel, cached, and bit-identical
-    /// to [`run_space`] for any thread count.
+    /// to [`run_space`] for any thread count. The result cache is checked
+    /// first: when every run hits, the shared warmup, its store lookup and
+    /// the template decode are skipped.
     ///
     /// # Errors
     ///
     /// Propagates configuration and deadlock errors from the simulator; in
     /// strict mode, also [`CoreError::InvariantViolation`]. When several
     /// runs fail, the error of the lowest run index is returned
-    /// (deterministically, regardless of scheduling).
+    /// (deterministically, regardless of scheduling). A shared-warmup
+    /// error surfaces only when some run is not cached.
     pub fn run_space<W, F>(
         &self,
         config: &MachineConfig,
@@ -710,29 +713,34 @@ impl Executor {
         let workload_id = workload_fingerprint(&mut make_workload());
         let perturbation_max = config.perturbation_max_ns;
         if plan.shared_warmup && plan.warmup_transactions > 0 {
-            let snapshot = self.warm_checkpoint(
-                config,
-                &make_workload,
-                plan.base_seed,
-                plan.warmup_transactions,
-                None,
-            )?;
             // Seeds stay a pure function of the *caller's* configuration —
             // not of the snapshot bytes, which differ between feature
             // builds — so shared-warmup sweeps are reproducible everywhere.
             // The domain constant keeps them decorrelated from (and the
-            // cache disjoint with) the legacy path's seed stream.
+            // cache disjoint with) the legacy path's seed stream. It also
+            // means the cache scan needs no snapshot: the warmup, store
+            // lookup and decode below run only if some run misses.
             let source_id = config_id ^ SHARED_WARMUP_DOMAIN;
-            // Decode once, fork per run: the template's cache arrays are
-            // copy-on-write, so each fork clones pointers, not payloads.
-            // Decoding here (rather than reusing the machine warm_checkpoint
-            // just simulated) leaves the decoder's resident-line seed on
-            // every array, which makes each fork's first-write
-            // materialization a single sequential pass. The decode itself
-            // spreads the per-node cache sections across this executor's
-            // thread budget (bit-identical for any thread count).
-            let template: Machine<W> = Machine::restore_with_threads(&snapshot, self.threads)?;
-            return self.execute(plan, source_id, workload_id, |seed| {
+            let prepare = || -> Result<Machine<W>> {
+                let snapshot = self.warm_checkpoint(
+                    config,
+                    &make_workload,
+                    plan.base_seed,
+                    plan.warmup_transactions,
+                    None,
+                )?;
+                // Decode once, fork per run: the template's cache arrays are
+                // copy-on-write, so each fork clones pointers, not payloads.
+                // Decoding here (rather than reusing the machine
+                // warm_checkpoint just simulated) leaves the decoder's
+                // resident-line seed on every array, which makes each fork's
+                // first-write materialization a single sequential pass. The
+                // decode itself spreads the per-node cache sections across
+                // this executor's thread budget (bit-identical for any
+                // thread count).
+                Ok(Machine::restore_with_threads(&snapshot, self.threads)?)
+            };
+            return self.execute(plan, source_id, workload_id, prepare, |template, seed| {
                 let mut machine = template.fork();
                 machine.set_perturbation(perturbation_max, seed);
                 if self.strict_invariants {
@@ -742,7 +750,7 @@ impl Executor {
                 Ok(extract_record(result, &mut machine))
             });
         }
-        self.execute(plan, config_id, workload_id, |seed| {
+        self.execute(plan, config_id, workload_id, no_prepare, |(), seed| {
             let mut cfg = config.clone().with_perturbation(perturbation_max, seed);
             if self.strict_invariants {
                 cfg = cfg.with_invariant_checks();
@@ -782,7 +790,7 @@ impl Executor {
         // Fingerprint the caller's checkpoint before strict mode touches the
         // per-run clones, for the same seed-stability reason as run_space.
         let state_id = machine_fingerprint(checkpoint);
-        self.execute(plan, state_id, 0, |seed| {
+        self.execute(plan, state_id, 0, no_prepare, |(), seed| {
             let mut machine = checkpoint.with_perturbation_seed(seed);
             if self.strict_invariants {
                 machine.enable_invariant_checks();
@@ -897,7 +905,9 @@ impl Executor {
     /// # Errors
     ///
     /// Propagates decode and simulator errors (lowest failing run index
-    /// wins); in strict mode, also [`CoreError::InvariantViolation`].
+    /// wins); in strict mode, also [`CoreError::InvariantViolation`]. The
+    /// snapshot is decoded only when some run is not cached, so only then
+    /// can a decode error surface.
     pub fn run_space_from_snapshot<W>(
         &self,
         snapshot: &Checkpoint,
@@ -911,10 +921,11 @@ impl Executor {
         let source_id = snapshot.fingerprint();
         // Decode once, fork per run (copy-on-write cache arrays) — the
         // restore cost is paid once per snapshot instead of once per run,
-        // and the decode fans the per-node sections across the executor's
-        // thread budget.
-        let template: Machine<W> = Machine::restore_with_threads(snapshot, self.threads)?;
-        self.execute(plan, source_id, 0, |seed| {
+        // the decode fans the per-node sections across the executor's
+        // thread budget, and a fully cached sweep skips it altogether.
+        let prepare =
+            || -> Result<Machine<W>> { Ok(Machine::restore_with_threads(snapshot, self.threads)?) };
+        self.execute(plan, source_id, 0, prepare, |template, seed| {
             let mut machine = template.fork();
             if self.strict_invariants {
                 machine.enable_invariant_checks();
@@ -929,18 +940,24 @@ impl Executor {
     }
 
     /// Shared execution core: derive seeds, satisfy runs from the cache
-    /// (replaying their recorded violations), fan the misses out over the
-    /// pool, reassemble in run-index order, then resolve errors and
-    /// violations with the lowest run index winning.
-    fn execute<J>(
+    /// (replaying their recorded violations), then — only if some run
+    /// missed — call `prepare` once (warmup, store lookup, template decode)
+    /// and fan the misses out over the pool as `job(&prepared, seed)`.
+    /// Reassemble in run-index order, then resolve errors and violations
+    /// with the lowest run index winning. A `prepare` error is returned
+    /// as is, and only when some run had to simulate.
+    fn execute<T, P, J>(
         &self,
         plan: &RunPlan,
         source_id: u64,
         workload_id: u64,
+        prepare: P,
         job: J,
     ) -> Result<RunSpace>
     where
-        J: Fn(u64) -> Result<RunRecord> + Sync,
+        T: Sync,
+        P: FnOnce() -> Result<T>,
+        J: Fn(&T, u64) -> Result<RunRecord> + Sync,
     {
         let keys: Vec<RunKey> = (0..plan.runs)
             .map(|i| RunKey {
@@ -972,21 +989,26 @@ impl Executor {
             }
         }
 
-        let outcomes = run_on_pool(self.threads, &misses, |run_index| {
-            if let Some(p) = &self.progress {
-                p.run_started(run_index);
-            }
-            let t0 = Instant::now();
-            let outcome = job(keys[run_index].seed);
-            if let (Ok(record), Some(p)) = (&outcome, &self.progress) {
-                p.run_completed(run_index, t0.elapsed());
-                if !record.violations.is_empty() {
-                    p.run_violations(run_index, &record.violations);
+        let outcomes = if misses.is_empty() {
+            Vec::new()
+        } else {
+            let prepared = prepare()?;
+            run_on_pool(self.threads, &misses, |run_index| {
+                if let Some(p) = &self.progress {
+                    p.run_started(run_index);
                 }
-                p.run_result(run_index, &record.result);
-            }
-            outcome
-        });
+                let t0 = Instant::now();
+                let outcome = job(&prepared, keys[run_index].seed);
+                if let (Ok(record), Some(p)) = (&outcome, &self.progress) {
+                    p.run_completed(run_index, t0.elapsed());
+                    if !record.violations.is_empty() {
+                        p.run_violations(run_index, &record.violations);
+                    }
+                    p.run_result(run_index, &record.result);
+                }
+                outcome
+            })
+        };
 
         for (&i, outcome) in misses.iter().zip(outcomes) {
             if let (Ok(record), Some(c)) = (&outcome, &self.cache) {
@@ -1021,6 +1043,11 @@ impl Executor {
         space.violations = violations;
         Ok(space)
     }
+}
+
+/// The `prepare` step of entry points whose runs need no shared state.
+fn no_prepare() -> Result<()> {
+    Ok(())
 }
 
 /// Pulls the invariant findings out of a finished machine and packages them
@@ -1753,5 +1780,191 @@ mod tests {
             matches!(err, CoreError::InvariantViolation { run: 0, .. }),
             "expected a strict violation failure, got {err:?}"
         );
+    }
+
+    static DECODES: [AtomicUsize; 2] = [const { AtomicUsize::new(0) }; 2];
+
+    /// The small sharing workload, counting in `DECODES[SLOT]` how often a
+    /// checkpoint decode rebuilds it, so a test can tell whether a sweep
+    /// decoded a template. Each test that reads a counter owns its slot.
+    #[derive(Debug, Clone)]
+    struct DecodeCounting<const SLOT: usize>(SharingWorkload);
+
+    impl<const SLOT: usize> DecodeCounting<SLOT> {
+        fn new() -> Self {
+            DecodeCounting(small_workload())
+        }
+
+        fn decodes() -> usize {
+            DECODES[SLOT].load(Ordering::SeqCst)
+        }
+    }
+
+    impl<const SLOT: usize> Workload for DecodeCounting<SLOT> {
+        fn thread_count(&self) -> usize {
+            self.0.thread_count()
+        }
+
+        fn next_op(&mut self, thread: mtvar_sim::ids::ThreadId) -> mtvar_sim::ops::Op {
+            self.0.next_op(thread)
+        }
+
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+    }
+
+    impl<const SLOT: usize> Snap for DecodeCounting<SLOT> {
+        fn encode_snap(&self, enc: &mut mtvar_sim::checkpoint::Encoder) {
+            self.0.encode_snap(enc);
+        }
+
+        fn decode_snap(
+            dec: &mut mtvar_sim::checkpoint::Decoder<'_>,
+        ) -> std::result::Result<Self, mtvar_sim::checkpoint::CheckpointError> {
+            DECODES[SLOT].fetch_add(1, Ordering::SeqCst);
+            SharingWorkload::decode_snap(dec).map(DecodeCounting)
+        }
+
+        fn snap_size_hint(&self) -> usize {
+            self.0.snap_size_hint()
+        }
+    }
+
+    #[test]
+    fn fully_cached_shared_warmup_sweep_skips_warmup_and_decode() {
+        let plan = RunPlan::new(25).with_runs(6).with_warmup(15);
+        let exec =
+            Executor::with_threads(2).with_checkpoint_store(Arc::new(CheckpointStore::new()));
+        let first = exec
+            .run_space(&small_config(), DecodeCounting::<0>::new, &plan)
+            .unwrap();
+        assert_eq!(DecodeCounting::<0>::decodes(), 1, "one template decode");
+        let cold = Executor::sequential()
+            .without_cache()
+            .run_space(&small_config(), small_workload, &plan)
+            .unwrap();
+        assert_eq!(first, cold, "the counting wrapper changes nothing");
+
+        // Same result cache, fresh and empty checkpoint store.
+        let fresh_store = Arc::new(CheckpointStore::new());
+        let progress = Arc::new(ProgressCounters::new());
+        let again = exec
+            .clone()
+            .with_checkpoint_store(Arc::clone(&fresh_store))
+            .with_progress(progress.clone())
+            .run_space(&small_config(), DecodeCounting::<0>::new, &plan)
+            .unwrap();
+        assert_eq!(first, again, "cached repeat must be bit-identical");
+        assert!(fresh_store.is_empty(), "a fully cached sweep warms nothing");
+        assert_eq!(
+            DecodeCounting::<0>::decodes(),
+            1,
+            "a fully cached sweep decodes nothing"
+        );
+        assert_eq!(progress.started(), 0);
+        assert_eq!(progress.cached(), 6);
+    }
+
+    #[test]
+    fn partially_cached_shared_warmup_sweep_matches_a_cold_one() {
+        let plan = RunPlan::new(25).with_runs(8).with_warmup(15);
+        for threads in [1, 4] {
+            let progress = Arc::new(ProgressCounters::new());
+            let exec = Executor::with_threads(threads).with_progress(progress.clone());
+            let four = exec
+                .run_space(&small_config(), small_workload, &plan.with_runs(4))
+                .unwrap();
+            let eight = exec
+                .run_space(&small_config(), small_workload, &plan)
+                .unwrap();
+            assert_eq!(progress.cached(), 4, "the first four runs hit");
+            assert_eq!(progress.completed(), 8);
+            let cold = Executor::with_threads(threads)
+                .run_space(&small_config(), small_workload, &plan)
+                .unwrap();
+            assert_eq!(eight, cold, "{threads} threads: partial sweep diverged");
+            assert_eq!(&eight.results()[..4], four.results());
+        }
+    }
+
+    #[test]
+    fn fully_cached_snapshot_sweep_skips_decode() {
+        let snapshot = Executor::sequential()
+            .warm_checkpoint(&small_config(), &DecodeCounting::<1>::new, 0, 15, None)
+            .unwrap();
+        let plan = RunPlan::new(25).with_runs(6);
+        let exec = Executor::with_threads(2);
+        let first = exec
+            .run_space_from_snapshot::<DecodeCounting<1>>(&snapshot, 4, &plan)
+            .unwrap();
+        assert_eq!(DecodeCounting::<1>::decodes(), 1, "one template decode");
+        let progress = Arc::new(ProgressCounters::new());
+        let again = exec
+            .clone()
+            .with_progress(progress.clone())
+            .run_space_from_snapshot::<DecodeCounting<1>>(&snapshot, 4, &plan)
+            .unwrap();
+        assert_eq!(first, again, "cached repeat must be bit-identical");
+        assert_eq!(
+            DecodeCounting::<1>::decodes(),
+            1,
+            "a fully cached sweep decodes nothing"
+        );
+        assert_eq!(progress.started(), 0);
+        assert_eq!(progress.cached(), 6);
+    }
+
+    #[test]
+    fn partially_cached_snapshot_sweep_matches_a_cold_one() {
+        let snapshot = Executor::sequential()
+            .warm_checkpoint(&small_config(), &small_workload, 0, 15, None)
+            .unwrap();
+        let plan = RunPlan::new(25).with_runs(8);
+        for threads in [1, 4] {
+            let progress = Arc::new(ProgressCounters::new());
+            let exec = Executor::with_threads(threads).with_progress(progress.clone());
+            let four = exec
+                .run_space_from_snapshot::<SharingWorkload>(&snapshot, 4, &plan.with_runs(4))
+                .unwrap();
+            let eight = exec
+                .run_space_from_snapshot::<SharingWorkload>(&snapshot, 4, &plan)
+                .unwrap();
+            assert_eq!(progress.cached(), 4, "the first four runs hit");
+            assert_eq!(progress.completed(), 8);
+            let cold = Executor::with_threads(threads)
+                .run_space_from_snapshot::<SharingWorkload>(&snapshot, 4, &plan)
+                .unwrap();
+            assert_eq!(eight, cold, "{threads} threads: partial sweep diverged");
+            assert_eq!(&eight.results()[..4], four.results());
+        }
+    }
+
+    #[test]
+    fn strict_repeat_over_unmonitored_entries_still_prepares() {
+        let plan = RunPlan::new(25).with_runs(3).with_warmup(15);
+        let progress = Arc::new(ProgressCounters::new());
+        let observing = Executor::with_threads(2).with_progress(progress.clone());
+        let a = observing
+            .run_space(&small_config(), small_workload, &plan)
+            .unwrap();
+        let fresh_store = Arc::new(CheckpointStore::new());
+        let b = observing
+            .clone()
+            .with_invariant_checks()
+            .with_checkpoint_store(Arc::clone(&fresh_store))
+            .run_space(&small_config(), small_workload, &plan)
+            .unwrap();
+        assert_eq!(a.results(), b.results(), "strict must not change results");
+        if cfg!(feature = "invariant-monitor") {
+            // Monitored entries are trusted: nothing to prepare.
+            assert_eq!(progress.completed(), 3);
+            assert!(fresh_store.is_empty());
+        } else {
+            // Unmonitored entries are misses: strict warms and re-simulates.
+            assert_eq!(progress.completed(), 6);
+            assert_eq!(progress.cached(), 0);
+            assert_eq!(fresh_store.len(), 1, "the strict sweep warmed up");
+        }
     }
 }

@@ -244,7 +244,8 @@ impl JobQueue {
     }
 
     /// Whether the queue is empty *and* no dispatcher is mid-job — the
-    /// non-blocking peek the accept loop polls during a drain.
+    /// non-blocking check the accept loop makes each time it wakes during
+    /// a drain.
     pub fn is_idle(&self) -> bool {
         let inner = self.inner.lock().expect("queue poisoned");
         inner.depth() == 0 && inner.running == 0

@@ -18,9 +18,11 @@
 //! [`ErrorCode::Draining`]: crate::protocol::ErrorCode::Draining
 
 use std::collections::{HashMap, HashSet};
+use std::io::{Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -46,7 +48,9 @@ use crate::ServeError;
 /// Process-wide shutdown flag driven by SIGINT / SIGTERM.
 ///
 /// The handler does the only async-signal-safe thing — it stores to a static
-/// atomic — and the accept loop polls the flag between accepts. Installation
+/// atomic. The accept loop reads the flag each time its readiness wait
+/// returns: at once if the signal interrupted that wait, otherwise within
+/// one drain tick, since the signal may land on any thread. Installation
 /// is explicit (the `mtvar serve` binary calls [`signal::install`]) so
 /// embedding a server in a test binary never hijacks the harness's Ctrl-C.
 pub mod signal {
@@ -121,6 +125,93 @@ impl ServeConfig {
     }
 }
 
+/// How long the accept loop waits for a connection before it re-checks for
+/// a drain that nothing woke it for: a SIGINT/SIGTERM handled on another
+/// thread. In-process shutdowns and drain completion wake it at once.
+const DRAIN_TICK: Duration = Duration::from_millis(50);
+
+/// Back-off after a hard `accept` error (EMFILE, ENFILE): the listener
+/// stays readable, so retrying at once would spin the thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// `poll(2)`, declared directly so the crate stays std-only.
+mod sys {
+    use std::os::fd::RawFd;
+
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: RawFd,
+        pub events: i16,
+        pub revents: i16,
+    }
+
+    pub const POLLIN: i16 = 0x1;
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type NFds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type NFds = std::os::raw::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
+    }
+
+    /// Blocks until some fd in `fds` is readable, hung up or in error, a
+    /// signal interrupts the wait, or `timeout_ms` passes. Returns whether
+    /// any fd is ready; only then are the `revents` fields meaningful.
+    pub fn wait(fds: &mut [PollFd], timeout_ms: i32) -> bool {
+        // SAFETY: `fds` is a live, exclusively borrowed array of
+        // `struct pollfd`-layout records and `nfds` is its exact length;
+        // poll only writes their `revents` fields.
+        unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, timeout_ms) > 0 }
+    }
+}
+
+/// Wakes the accept loop out of its readiness wait: a socket pair whose
+/// read end the loop polls next to the listener, so shutdown paths inside
+/// the process need not wait for the drain tick.
+struct Waker {
+    tx: UnixStream,
+    rx: UnixStream,
+}
+
+impl Waker {
+    fn new() -> std::io::Result<Self> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Waker { tx, rx })
+    }
+
+    /// Makes the next (or current) [`Waker::wait`] return. A full buffer
+    /// means a wake is already pending, so a failed write is fine.
+    fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Blocks until `listener` is readable, [`Waker::wake`] is called, a
+    /// signal interrupts the wait, or `timeout` passes.
+    fn wait(&self, listener: RawFd, timeout: Duration) {
+        let mut fds = [
+            sys::PollFd {
+                fd: listener,
+                events: sys::POLLIN,
+                revents: 0,
+            },
+            sys::PollFd {
+                fd: self.rx.as_raw_fd(),
+                events: sys::POLLIN,
+                revents: 0,
+            },
+        ];
+        if sys::wait(&mut fds, timeout.as_millis() as i32) && fds[1].revents != 0 {
+            // Consume every pending wake; the caller re-checks its state.
+            let mut buf = [0u8; 64];
+            while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+        }
+    }
+}
+
 /// State shared by the accept loop, dispatchers, and connection handlers.
 struct Shared {
     queue: JobQueue,
@@ -133,15 +224,21 @@ struct Shared {
     coalescer: WarmupCoalescer,
     counters: Arc<ProgressCounters>,
     coalesce: bool,
-    shutdown: AtomicBool,
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
     cancelled: AtomicU64,
     rejected: AtomicU64,
+    waker: Waker,
 }
 
 impl Shared {
+    /// Starts a graceful drain and wakes the accept loop to act on it.
+    fn request_shutdown(&self) {
+        self.queue.drain();
+        self.waker.wake();
+    }
+
     fn stats_snapshot(&self) -> ServerStats {
         let mut warnings = self.store.take_warnings();
         if let Some(results) = self.executor.result_store() {
@@ -300,12 +397,15 @@ where
     executor.run_space(config, factory, &plan)
 }
 
+/// Every terminal path counts the job in the server's stats *before* it
+/// sends the terminal frame, so a client that has seen the frame and then
+/// asks for `stats` always finds the job counted.
 fn dispatch_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop_blocking() {
         if job.cancel_requested() {
             job.set_state(JobState::Cancelled);
-            job.send(Response::Cancelled { job: job.id });
             shared.cancelled.fetch_add(1, Ordering::Relaxed);
+            job.send(Response::Cancelled { job: job.id });
             shared.queue.note_done();
             continue;
         }
@@ -353,8 +453,8 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 // so nothing was wasted) but the job reports cancelled.
                 drop(space);
                 job.set_state(JobState::Cancelled);
-                job.send(Response::Cancelled { job: job.id });
                 shared.cancelled.fetch_add(1, Ordering::Relaxed);
+                job.send(Response::Cancelled { job: job.id });
             }
             Ok(space) => {
                 let digest = space
@@ -365,6 +465,7 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                 let mean_cpt = runtimes.iter().sum::<f64>() / runtimes.len() as f64;
                 job.set_digest(digest);
                 job.set_state(JobState::Done);
+                shared.completed.fetch_add(1, Ordering::Relaxed);
                 job.send(Response::JobDone {
                     job: job.id,
                     digest,
@@ -374,18 +475,21 @@ fn dispatch_loop(shared: &Arc<Shared>) {
                     violations: space.total_violations(),
                     mean_cpt,
                 });
-                shared.completed.fetch_add(1, Ordering::Relaxed);
             }
             Err(e) => {
                 job.set_state(JobState::Failed);
+                shared.failed.fetch_add(1, Ordering::Relaxed);
                 job.send(Response::JobFailed {
                     job: job.id,
                     message: e.to_string(),
                 });
-                shared.failed.fetch_add(1, Ordering::Relaxed);
             }
         }
         shared.queue.note_done();
+        if shared.queue.is_draining() {
+            // The accept loop may be waiting to see the drain complete.
+            shared.waker.wake();
+        }
     }
 }
 
@@ -518,8 +622,7 @@ fn serve_connection(
             sink.write_response(stream, &Response::StatsReport(shared.stats_snapshot()))?;
         }
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue.drain();
+            shared.request_shutdown();
             sink.write_response(stream, &Response::ShuttingDown)?;
         }
     }
@@ -567,12 +670,12 @@ impl Server {
             coalescer: WarmupCoalescer::new(),
             counters: Arc::new(ProgressCounters::new()),
             coalesce: config.coalesce,
-            shutdown: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
+            waker: Waker::new()?,
         });
 
         let dispatchers: Vec<_> = (0..config.dispatchers.max(1))
@@ -608,7 +711,7 @@ fn accept_loop(
     socket: &Path,
 ) {
     loop {
-        if signal::shutdown_requested() || shared.shutdown.load(Ordering::SeqCst) {
+        if signal::shutdown_requested() {
             // Idempotent: flips admission to typed Draining rejections while
             // queued jobs keep executing.
             shared.queue.drain();
@@ -624,9 +727,9 @@ fn accept_loop(
                     .spawn(move || handle_connection(&shared, stream));
             }
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+                shared.waker.wait(listener.as_raw_fd(), DRAIN_TICK);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
     // Drained: no queued work, no running job, admission rejects. Stop the
@@ -686,8 +789,7 @@ impl ServerHandle {
 
     /// Requests a graceful drain, as if the process received SIGTERM.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue.drain();
+        self.shared.request_shutdown();
     }
 
     /// Blocks until the accept loop exits (after a drain completes).

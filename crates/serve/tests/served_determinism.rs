@@ -6,7 +6,9 @@
 //! share one simulation, with the other N−1 sweeps replayed from the shared
 //! cache. Graceful shutdown drains in-flight jobs while rejecting new
 //! submissions with a typed `Draining` error, and disk spill carries both
-//! warmed checkpoints and run results across a full server restart.
+//! warmed checkpoints and run results across a full server restart. An
+//! idle server wakes on each connection and on an in-process shutdown
+//! instead of sleeping out a polling interval.
 //!
 //! [`Executor`]: mtvar_core::runspace::Executor
 
@@ -14,6 +16,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use mtvar_core::golden::run_digest;
 use mtvar_core::runspace::Executor;
@@ -388,4 +391,64 @@ fn spill_replays_results_across_a_server_restart() {
     client.shutdown().expect("shutdown");
     handle.join();
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The accept loop wakes when a connection arrives: 32 back-to-back stats
+/// round trips on an idle server take well under a millisecond each, where
+/// a loop that sleeps between accepts would spend ~5 ms on every one
+/// (~160 ms a batch). The fastest of three batches is compared, because
+/// the other tests in this binary load the host while it runs.
+#[test]
+fn idle_server_answers_back_to_back_stats_without_polling_delay() {
+    let socket = socket_path("wake");
+    let handle = Server::start(ServeConfig::new(&socket)).expect("start server");
+    let client = Client::new(&socket);
+    client.stats().expect("warm-up stats");
+    let fastest = (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..32 {
+                client.stats().expect("stats");
+            }
+            t0.elapsed()
+        })
+        .min()
+        .expect("three batches");
+    client.shutdown().expect("shutdown");
+    handle.join();
+    assert!(
+        fastest < Duration::from_millis(80),
+        "32 stats calls took {fastest:?} in the fastest of three batches"
+    );
+}
+
+/// Both in-process shutdown paths wake an idle accept loop: the server
+/// drains and exits well within a second.
+#[test]
+fn idle_server_exits_promptly_on_handle_shutdown_and_shutdown_frame() {
+    let socket = socket_path("exit-handle");
+    let handle = Server::start(ServeConfig::new(&socket)).expect("start server");
+    Client::new(&socket).stats().expect("stats");
+    let t0 = Instant::now();
+    handle.shutdown();
+    handle.join();
+    let by_handle = t0.elapsed();
+    assert!(!socket.exists(), "socket file removed after drain");
+
+    let socket = socket_path("exit-frame");
+    let handle = Server::start(ServeConfig::new(&socket)).expect("start server");
+    let t0 = Instant::now();
+    Client::new(&socket).shutdown().expect("shutdown");
+    handle.join();
+    let by_frame = t0.elapsed();
+    assert!(!socket.exists(), "socket file removed after drain");
+
+    assert!(
+        by_handle < Duration::from_secs(1),
+        "ServerHandle::shutdown took {by_handle:?} to exit"
+    );
+    assert!(
+        by_frame < Duration::from_secs(1),
+        "a Shutdown frame took {by_frame:?} to exit"
+    );
 }

@@ -142,6 +142,34 @@ fi
 wait "$SERVE_PID"
 echo "    served $SERVED == batch digest"
 
+# The signal-driven drain: SIGTERM only sets a flag, which the accept loop
+# reads within one drain tick. A watchdog kills the daemon after 5 s, which
+# makes `wait` report failure.
+echo "==> service gate: SIGTERM drains the daemon and removes its socket"
+TERM_SOCK="${TMPDIR:-/tmp}/mtvar-verify-term-$$.sock"
+"$MTVAR_BIN" serve --socket "$TERM_SOCK" --dispatchers 1 --threads 1 &
+TERM_PID=$!
+i=0
+while [ ! -S "$TERM_SOCK" ] && [ "$i" -lt 100 ]; do sleep 0.05; i=$((i + 1)); done
+kill -TERM "$TERM_PID"
+(sleep 5; kill -KILL "$TERM_PID" 2>/dev/null) &
+WATCHDOG_PID=$!
+if ! wait "$TERM_PID"; then
+    echo "mtvar serve did not exit cleanly within 5 s of SIGTERM" >&2
+    exit 1
+fi
+kill "$WATCHDOG_PID" 2>/dev/null || true
+if [ -e "$TERM_SOCK" ]; then
+    echo "mtvar serve left its socket $TERM_SOCK behind after SIGTERM" >&2
+    exit 1
+fi
+echo "    SIGTERM drained the daemon and removed its socket"
+
+# The benchmark is a separate Cargo workspace, so the workspace builds
+# above do not compile it; an API change that breaks it must fail here.
+echo "==> benchmark build (its own workspace)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> bench records: asserted fields must not regress"
 sh scripts/bench_check.sh
 
